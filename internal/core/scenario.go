@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/autoscale"
@@ -120,16 +121,6 @@ type Scenario struct {
 	Trace     bool    `json:"trace,omitempty"`
 	Timeline  bool    `json:"timeline,omitempty"`
 	ObsTickMS float64 `json:"obs_tick_ms,omitempty"`
-	// Shards, when > 1, runs the scenario's replica groups on parallel
-	// engine loops with a deterministic merge — round-robin clusters
-	// shard by stream replay, queue-state dispatch (least-loaded / JSQ)
-	// by the conservative-lookahead dispatcher protocol. It is an
-	// execution knob, not a scenario axis: results are byte-identical
-	// at any shard count (configurations sharding cannot decompose
-	// exactly run serial, reported via Result.*ShardMode), so Shards
-	// never enters Identity or the result JSON — like Trace/Timeline it
-	// cannot shift a seed or an outcome.
-	Shards int `json:"-"`
 }
 
 // Normalize fills defaults and canonicalizes axes that a scenario class
@@ -364,15 +355,11 @@ type Result struct {
 	Preemptions int     `json:"preemptions,omitempty"`
 	QueueMS     float64 `json:"queue_ms,omitempty"`
 
-	// VanillaShardMode and ApparateShardMode report how each
-	// classification run actually executed under Scenario.Shards
-	// (serving.ClusterStats.ShardMode): "replay:N"/"lookahead:N" when
-	// it sharded, "serial:<reason>" when it fell back. The two can
-	// differ — vanilla handlers are latency-stable so queue-state
-	// dispatch shards, while the adaptive Apparate run serializes.
-	// Excluded from JSON like Shards itself: execution mode never
-	// enters sweep output, which is what keeps sharded runs
-	// byte-identical to serial ones. Empty for generative scenarios.
+	// VanillaShardMode and ApparateShardMode are always "serial" for
+	// classification scenarios and empty for generative ones. They are
+	// kept only because perfbench compiles against them: its traced run
+	// sets them on the Result it rebuilds and reflect.DeepEquals that
+	// against RunScenario's.
 	VanillaShardMode  string `json:"-"`
 	ApparateShardMode string `json:"-"`
 }
@@ -455,8 +442,14 @@ func (sc Scenario) Validate() error {
 	if sc.N <= 0 {
 		return fmt.Errorf("scenario: request count %d must be positive", sc.N)
 	}
-	if sc.RateMult <= 0 {
-		return fmt.Errorf("scenario: rate multiplier %g must be positive", sc.RateMult)
+	if !finitePositive(sc.RateMult) {
+		return fmt.Errorf("scenario: rate multiplier %g must be finite and positive", sc.RateMult)
+	}
+	if !finitePositive(sc.RampBudget) {
+		return fmt.Errorf("scenario: ramp budget %g must be finite and positive", sc.RampBudget)
+	}
+	if !finitePositive(sc.AccLoss) {
+		return fmt.Errorf("scenario: accuracy-loss limit %g must be finite and positive", sc.AccLoss)
 	}
 	if sc.GenSlots < 0 || sc.GenFlush < 0 {
 		return fmt.Errorf("scenario: gen slots/flush must be non-negative (got %d/%d)", sc.GenSlots, sc.GenFlush)
@@ -465,14 +458,11 @@ func (sc Scenario) Validate() error {
 		return fmt.Errorf("scenario: kv blocks/block tokens/prefill chunk must be non-negative (got %d/%d/%d)",
 			sc.KVBlocks, sc.BlockTokens, sc.PrefillChunk)
 	}
-	if sc.PrefixHit < 0 || sc.PrefixHit > 1 {
+	if !(sc.PrefixHit >= 0 && sc.PrefixHit <= 1) {
 		return fmt.Errorf("scenario: prefix-hit ratio %g must be in [0,1]", sc.PrefixHit)
 	}
-	if sc.ObsTickMS < 0 {
-		return fmt.Errorf("scenario: observability tick %g must be non-negative", sc.ObsTickMS)
-	}
-	if sc.Shards < 0 {
-		return fmt.Errorf("scenario: shard count %d must be non-negative", sc.Shards)
+	if !(sc.ObsTickMS >= 0) || math.IsInf(sc.ObsTickMS, 1) {
+		return fmt.Errorf("scenario: observability tick %g must be finite and non-negative", sc.ObsTickMS)
 	}
 	if fs, _ := faults.Parse(sc.Faults); fs != nil {
 		// A clause naming a replica the cluster can never materialize
@@ -490,6 +480,10 @@ func (sc Scenario) Validate() error {
 	}
 	return nil
 }
+
+// finitePositive reports whether x is a usable positive knob value:
+// NaN and +Inf fail, as do zero and negatives.
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // RunScenario executes one scenario end to end: vanilla baseline plus
 // the Apparate run on the same stream, single-replica or cluster,
@@ -581,10 +575,6 @@ func runClassScenario(sc Scenario, od *ObsData) (*Result, error) {
 
 	if sc.Replicas == 1 && sc.Autoscale == "" && sc.Faults == "" && sc.Retry == "" {
 		res.VanillaShardMode, res.ApparateShardMode = "serial", "serial"
-		if sc.Shards > 1 {
-			res.VanillaShardMode = "serial:single-replica"
-			res.ApparateShardMode = "serial:single-replica"
-		}
 		sys := New(m, kind, cfg)
 		res.SLOms = sys.Opts.SLOms
 		v := sys.ServeVanilla(stream)
@@ -613,7 +603,6 @@ func runClassScenario(sc Scenario, od *ObsData) (*Result, error) {
 		Replicas: sc.Replicas,
 		Dispatch: dispatch,
 		Speeds:   speeds,
-		Shards:   sc.Shards,
 	}
 	maxReplicas := sc.Replicas
 	if sc.Autoscale != "" {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -19,6 +20,14 @@ func TestScenarioValidate(t *testing.T) {
 		{Model: "resnet50", Workload: "video-0", N: 100, ExitRule: "nope"},
 		{Model: "resnet50", Workload: "video-0", N: 0},
 		{Model: "resnet50", Workload: "video-0", N: 100, RateMult: -1},
+		{Model: "resnet50", Workload: "video-0", N: 100, RateMult: math.NaN()},
+		{Model: "resnet50", Workload: "video-0", N: 100, RateMult: math.Inf(1)},
+		{Model: "resnet50", Workload: "video-0", N: 100, RampBudget: math.NaN()},
+		{Model: "resnet50", Workload: "video-0", N: 100, RampBudget: -0.5},
+		{Model: "resnet50", Workload: "video-0", N: 100, AccLoss: math.NaN()},
+		{Model: "resnet50", Workload: "video-0", N: 100, AccLoss: -0.1},
+		{Model: "t5-large", Workload: "squad", N: 100, PrefixHit: math.NaN()},
+		{Model: "resnet50", Workload: "video-0", N: 100, Timeline: true, ObsTickMS: math.NaN()},
 	}
 	for _, sc := range bad {
 		if err := sc.Validate(); err == nil {

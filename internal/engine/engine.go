@@ -150,49 +150,7 @@ func (l *Loop) Run() {
 	l.halted = false
 }
 
-// NextAt returns the timestamp of the earliest pending event and
-// whether one exists. Callers pacing a run in bounded slices (RunUntil)
-// peek it to aim each horizon past at least one event, so a slice never
-// spins over an idle gap in virtual time.
-func (l *Loop) NextAt() (float64, bool) {
-	if len(l.heap) == 0 {
-		return 0, false
-	}
-	return l.heap[0].at, true
-}
-
-// RunUntil pops events in exactly the order Run would, but only while
-// their timestamps are strictly below horizon, then returns leaving the
-// remaining events pending and the clock at the last fired event. This
-// is the epoch primitive of conservative-lookahead sharding: the caller
-// alternates bounded slices with cross-shard publication at each
-// horizon barrier, and because slicing never reorders, drops, or adds
-// events, any sequence of RunUntil calls that drains the heap fires the
-// exact event sequence one Run call would (pinned by
-// TestRunUntilSlicedMatchesRun). An event scheduled exactly at the
-// horizon does not fire — the horizon is exclusive, so an epoch
-// [prev, horizon) commits everything the lookahead bound proves cannot
-// be affected by later epochs. The return value reports whether events
-// remain pending.
-func (l *Loop) RunUntil(horizon float64) bool {
-	if l.inRun {
-		panic("engine: RunUntil called from inside an event callback")
-	}
-	l.inRun = true
-	defer func() { l.inRun = false }()
-	for len(l.heap) > 0 && !l.halted && l.heap[0].at < horizon {
-		e := l.pop()
-		if l.advance != nil && e.at > l.now {
-			l.advance(l.now, e.at)
-		}
-		l.now = e.at
-		e.h.OnEvent(l.now, e.op, e.arg)
-	}
-	l.halted = false
-	return len(l.heap) > 0
-}
-
-// Halt stops Run (or RunUntil) after the current callback returns,
+// Halt stops Run after the current callback returns,
 // leaving any remaining events pending.
 func (l *Loop) Halt() { l.halted = true }
 

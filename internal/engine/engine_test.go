@@ -374,97 +374,3 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state handler scheduling allocates %.1f allocs/run, want 0", avg)
 	}
 }
-
-// TestRunUntilSlicedMatchesRun is the epoch primitive's pop-order pin:
-// draining a loop through bounded RunUntil slices fires exactly the
-// event sequence — same times, same callback order — that one Run call
-// fires, for a workload whose events cross-schedule each other across
-// slice boundaries. Conservative-lookahead sharding rests on this: an
-// epoch barrier may pause the loop anywhere without perturbing results.
-func TestRunUntilSlicedMatchesRun(t *testing.T) {
-	seed := func(l *Loop, got *[]string) {
-		n := 0
-		var rec func(now float64)
-		rec = func(now float64) {
-			*got = append(*got, fmt.Sprintf("%d@%g", n, now))
-			n++
-			if n < 40 {
-				// Irregular gaps and rotating classes, so slices cut at
-				// idle stretches, same-instant runs, and class ties alike.
-				l.ScheduleFunc(now+float64((n*7)%5), Class(n%3), rec)
-			}
-		}
-		l.ScheduleFunc(0, 0, rec)
-		l.ScheduleFunc(1.5, 1, rec)
-	}
-
-	var want []string
-	l1 := New()
-	seed(l1, &want)
-	l1.Run()
-
-	var got []string
-	l2 := New()
-	seed(l2, &got)
-	for {
-		next, ok := l2.NextAt()
-		if !ok {
-			break
-		}
-		if !l2.RunUntil(next + 2.5) {
-			break
-		}
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("sliced pop order diverges:\n run:      %v\n rununtil: %v", want, got)
-	}
-	if l1.Now() != l2.Now() {
-		t.Fatalf("final clocks diverge: %g vs %g", l1.Now(), l2.Now())
-	}
-}
-
-// TestRunUntilHorizonExclusive pins the barrier semantics: an event
-// scheduled exactly at the horizon does not fire (the epoch [prev, h)
-// commits only what the lookahead bound covers), the clock stays at the
-// last fired event, and the return value reports pending work.
-func TestRunUntilHorizonExclusive(t *testing.T) {
-	l := New()
-	var got []float64
-	l.ScheduleFunc(5, 0, func(now float64) { got = append(got, now) })
-	l.ScheduleFunc(10, 0, func(now float64) { got = append(got, now) })
-	if !l.RunUntil(5) {
-		t.Fatal("RunUntil(5) reported an empty heap with events at 5 and 10 pending")
-	}
-	if len(got) != 0 || l.Now() != 0 {
-		t.Fatalf("event at the horizon fired: got %v, now %g", got, l.Now())
-	}
-	if !l.RunUntil(5.1) {
-		t.Fatal("RunUntil(5.1) reported an empty heap with the event at 10 pending")
-	}
-	if fmt.Sprint(got) != "[5]" || l.Now() != 5 {
-		t.Fatalf("after RunUntil(5.1): got %v, now %g", got, l.Now())
-	}
-	if l.RunUntil(100) {
-		t.Fatal("RunUntil(100) reported pending events after draining the heap")
-	}
-	if fmt.Sprint(got) != "[5 10]" || l.Now() != 10 {
-		t.Fatalf("after draining: got %v, now %g", got, l.Now())
-	}
-}
-
-// TestNextAt pins the peek: empty loop reports none, otherwise the
-// earliest pending timestamp, without disturbing the heap.
-func TestNextAt(t *testing.T) {
-	l := New()
-	if _, ok := l.NextAt(); ok {
-		t.Fatal("NextAt on an empty loop reported a pending event")
-	}
-	l.ScheduleFunc(7, 0, func(float64) {})
-	l.ScheduleFunc(3, 0, func(float64) {})
-	if at, ok := l.NextAt(); !ok || at != 3 {
-		t.Fatalf("NextAt = %g, %v; want 3, true", at, ok)
-	}
-	if l.Pending() != 2 {
-		t.Fatalf("NextAt disturbed the heap: %d pending, want 2", l.Pending())
-	}
-}
