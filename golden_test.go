@@ -14,8 +14,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files under testdata/ instead of comparing")
 
 // goldenGrid is the pinned regression grid: a small fixed-seed sweep
-// spanning both scenario classes (CV video, NLP trace), both metrics
-// modes, and the load-dynamics axes (scheduled rates, autoscaling).
+// spanning both scenario classes (CV video, NLP trace), both serving
+// platforms (Clockwork, TF-Serving), both metrics modes, and the
+// load-dynamics axes (scheduled rates, autoscaling).
 // Every quantity in the pipeline is deterministic, so its CSV output is
 // byte-stable across runs and worker counts on a given architecture —
 // any diff there is a behavior change, intended or not. Across
@@ -28,7 +29,7 @@ func goldenGrid() sweep.Grid {
 	return sweep.Grid{
 		Models:    []string{"resnet18", "distilbert-base"},
 		Workloads: []string{"video-0", "amazon"},
-		Platforms: []string{"clockwork"},
+		Platforms: []string{"clockwork", "tf-serve"},
 		Metrics:   []string{"exact", "sketch"},
 		// The exact-queue-state dispatch policies are pinned through the
 		// autoscaled rows (dispatch collapses to round-robin at one fixed
