@@ -219,7 +219,7 @@ bench-stream:
 # ReportMetric columns flow through without Makefile changes.
 bench-gen:
 	$(GO) test -run '^$$' -bench BenchmarkGenKV -benchtime 5x . | tee /tmp/bench_gen.txt
-	@printf '{\n  "description": "BenchmarkGenKV: the generative engine over 200 cnn-dailymail sequences at 6 seq/s — kv=off (classic unbounded path) vs a 96-block pool with/without the prefix cache vs a saturated 48-block pool with chunked prefill. Each row records the engine observables (tok_per_s, kv_util, prefix_hits, preempts, queue_ms) alongside ns/op; the saturated rows must show preempts > 0 and the kv=off row must track the pre-KV engine cost. Regenerate with make bench-gen.",\n' > BENCH_gen.json
+	@printf '{\n  "description": "BenchmarkGenKV: the generative engine over 200 cnn-dailymail sequences at 6 seq/s — kv=off (the unbounded pool: no block accounting, no prefix draws) vs a 96-block pool with/without the prefix cache vs a saturated 48-block pool with chunked prefill. Each row records the engine observables (tok_per_s, kv_util, prefix_hits, preempts, queue_ms) alongside ns/op; the saturated rows must show preempts > 0. Regenerate with make bench-gen.",\n' > BENCH_gen.json
 	@$(call bench_meta,BENCH_gen.json)
 	@awk 'BEGIN { printf("  \"results\": [\n") } \
 	  /^BenchmarkGenKV\// { sub(/^BenchmarkGenKV\//, "", $$1); sub(/-[0-9]+$$/, "", $$1); \

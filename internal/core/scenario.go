@@ -31,7 +31,7 @@ type Scenario struct {
 	// Dispatch is "round-robin" or "least-loaded"; it only matters when
 	// Replicas > 1.
 	Dispatch string `json:"dispatch"`
-	// Replicas is the cluster width; 1 runs the single-replica simulator.
+	// Replicas is the cluster width (1 = a single replica).
 	Replicas int `json:"replicas"`
 	// N is the request count (sequences for generative workloads).
 	N    int    `json:"n"`
@@ -573,26 +573,6 @@ func runClassScenario(sc Scenario, od *ObsData) (*Result, error) {
 		}
 	}
 
-	if sc.Replicas == 1 && sc.Autoscale == "" && sc.Faults == "" && sc.Retry == "" {
-		res.VanillaShardMode, res.ApparateShardMode = "serial", "serial"
-		sys := New(m, kind, cfg)
-		res.SLOms = sys.Opts.SLOms
-		v := sys.ServeVanilla(stream)
-		if od != nil {
-			// Attach the sinks after the vanilla baseline so only the
-			// Apparate run is observed; Opts is a value, so this never
-			// leaks into a later ServeVanilla.
-			sys.Opts.Trace, sys.Opts.Timeline = od.Trace, od.Timeline
-		}
-		a := sys.Serve(stream)
-		fillClass(res, v, a)
-		ctl := sys.Controller()
-		res.TuneRounds = ctl.TuneRounds
-		res.AdjustRounds = ctl.AdjustRounds
-		res.ActiveRamps = len(sys.Handler.Cfg.Active)
-		return res, nil
-	}
-
 	dispatch, _ := serving.ParseDispatch(sc.Dispatch)
 	speeds, _ := serving.ParseSpeeds(sc.Hetero)
 	opts := serving.ClusterOptions{
@@ -626,11 +606,11 @@ func runClassScenario(sc Scenario, od *ObsData) (*Result, error) {
 	// the traffic slice it sees. The event engine builds each replica's
 	// handler exactly once — autoscaled runs create handlers lazily as
 	// the cluster grows, so indexes past the realized peak never
-	// materialize.
+	// materialize. Handlers share the read-only model: every replica
+	// runs on the one goroutine of the scenario's event loop.
 	handlers := make([]*serving.ApparateHandler, maxReplicas)
 	mkApparate := func(i int) serving.Handler {
-		mm, _ := model.ByName(sc.Model)
-		h := serving.NewApparate(mm, exitsim.ProfileFor(mm, kind), cfg.RampBudget, controller.Config{
+		h := serving.NewApparate(m, exitsim.ProfileFor(m, kind), cfg.RampBudget, controller.Config{
 			AccConstraint:     cfg.AccuracyConstraint,
 			DisableRampAdjust: cfg.DisableRampAdjust,
 		})
@@ -641,10 +621,7 @@ func runClassScenario(sc Scenario, od *ObsData) (*Result, error) {
 		handlers[i] = h
 		return h
 	}
-	mkVanilla := func(i int) serving.Handler {
-		mm, _ := model.ByName(sc.Model)
-		return &serving.VanillaHandler{Model: mm}
-	}
+	mkVanilla := func(int) serving.Handler { return &serving.VanillaHandler{Model: m} }
 	v := serving.RunCluster(stream, mkVanilla, opts)
 	if od != nil {
 		// The vanilla baseline above ran with the zero-valued sinks, so

@@ -1,12 +1,9 @@
 package genserve
 
 import (
-	"math"
 	"testing"
 
-	"repro/internal/engine"
 	"repro/internal/exitsim"
-	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -50,9 +47,15 @@ func TestTokenCountsMatchRequests(t *testing.T) {
 	e.Run(s, VanillaGen{})
 	e.OnSeq = nil
 	reqs := s.Materialize()
-	for i, seq := range seqs {
-		if len(seq.Tokens) != reqs[i].GenLen {
-			t.Fatalf("seq %d generated %d tokens, want %d", i, len(seq.Tokens), reqs[i].GenLen)
+	if len(seqs) != len(reqs) {
+		t.Fatalf("observer saw %d sequences, want %d", len(seqs), len(reqs))
+	}
+	// OnSeq fires in completion order, so match sequences to requests by
+	// ID, not by position.
+	for _, seq := range seqs {
+		id := seq.Request.ID
+		if len(seq.Tokens) != reqs[id].GenLen {
+			t.Fatalf("seq %d generated %d tokens, want %d", id, len(seq.Tokens), reqs[id].GenLen)
 		}
 	}
 }
@@ -213,47 +216,36 @@ func TestSaturatedBatchFactor(t *testing.T) {
 	}
 }
 
-// TestRunBoundedPendingEvents pins the engine-migration memory claim: a
+// TestRunBoundedPendingEvents pins the runtime's memory claim: a
 // generative run's pending event count stays bounded by the slot pool
-// (slot completions + one armed arrival + the monitor below), never
-// growing with the stream. A light-load stream is the regression
-// trigger: when slots free before the next arrival, a buggy pump would
-// re-arm a duplicate arrival event per completion.
+// (one milestone per running sequence + one armed arrival + the monitor
+// below), never growing with the stream. A light-load stream on the
+// unbounded pool is the regression trigger: when slots free before the
+// next arrival, a buggy pump would re-arm a duplicate arrival event per
+// completion.
 func TestRunBoundedPendingEvents(t *testing.T) {
 	m := model.T5Large()
 	e := NewEngine(m, exitsim.ProfileFor(m, exitsim.KindCNNDailyMail))
 	// Wire a sim exactly like Run, plus a monitor process sampling the
 	// heap between events.
-	g := &genSim{
-		e:     e,
-		pol:   VanillaGen{},
-		loop:  engine.New(),
-		it:    workload.CNNDailyMail(400, 0.5, 9).Iter(),
-		free:  e.MaxConcurrent,
-		armAt: math.Inf(1),
-		stats: &Stats{TPTRec: metrics.NewRecorder(e.Metrics, 4096)},
-	}
-	if r, ok := g.it.Next(); ok {
-		g.next, g.has = r, true
-	}
+	k := e.newKVSim(workload.CNNDailyMail(400, 0.5, 9).Iter(), VanillaGen{})
 	maxPending := 0
 	var monitor func(now float64)
 	monitor = func(now float64) {
-		if p := g.loop.Pending(); p > maxPending {
+		if p := k.loop.Pending(); p > maxPending {
 			maxPending = p
 		}
-		if g.has || g.free < e.MaxConcurrent {
-			g.loop.ScheduleFunc(now+50, 2, monitor)
+		if k.has || k.running > 0 || len(k.waiting) > 0 {
+			k.loop.ScheduleFunc(now+50, 2, monitor)
 		}
 	}
-	g.loop.Add(g)
-	g.loop.ScheduleFunc(0, 2, monitor)
-	g.loop.Run()
-	if g.stats.Seqs != 400 {
-		t.Fatalf("served %d sequences, want 400", g.stats.Seqs)
+	k.loop.ScheduleFunc(0, 2, monitor)
+	k.loop.Run()
+	if k.stats.Seqs != 400 {
+		t.Fatalf("served %d sequences, want 400", k.stats.Seqs)
 	}
-	// Bound: MaxConcurrent slot completions + 1 armed arrival + the
-	// monitor's own event.
+	// Bound: MaxConcurrent milestones + 1 armed arrival + the monitor's
+	// own event.
 	if limit := e.MaxConcurrent + 2; maxPending > limit {
 		t.Fatalf("pending events peaked at %d (> %d): arrival events are duplicating with the stream", maxPending, limit)
 	}

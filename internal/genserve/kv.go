@@ -12,13 +12,6 @@ import (
 // sets a pool but Engine.BlockTokens is zero (vLLM's default block size).
 const DefaultBlockTokens = 16
 
-// kvActive reports whether any KV-runtime knob is set. With all of them
-// zero, Run takes the classic slot path — byte-identical to the pre-KV
-// engine, with no extra rng draws.
-func (e *Engine) kvActive() bool {
-	return e.KVBlocks > 0 || e.PrefixHitRatio > 0 || e.PrefillChunkTokens > 0
-}
-
 // Engine-event op codes dispatched to kvSim.OnEvent.
 const (
 	opKVArrive    uint8 = iota // a request reached the admission queue
@@ -117,13 +110,42 @@ type kvSim struct {
 	intReported float64
 }
 
-// runKV serves the stream under the KV-block memory runtime.
-func (e *Engine) runKV(stream *workload.GenStream, pol Policy) *Stats {
+// Run serves the generative stream with the policy under the KV-block
+// memory runtime on the shared discrete-event engine. A sequence starts
+// at max(its arrival, the earliest instant a decode slot and — with a
+// bounded pool — enough KV blocks are free), in FIFO order. With
+// KVBlocks = 0 the pool is unbounded: admission waits only for a slot,
+// and no block accounting runs.
+func (e *Engine) Run(stream *workload.GenStream, pol Policy) *Stats {
+	k := e.newKVSim(stream.Iter(), pol)
+	k.loop.Run()
+	if k.tl != nil && k.haveFirst {
+		k.tl.Finish(k.loop.Now(), k.snapFn)
+	}
+	if k.stats.Seqs > 0 {
+		k.stats.MeanMatchRate = k.sumRate / float64(k.stats.Seqs)
+		k.stats.MeanScore = k.sumScore / float64(k.stats.Seqs)
+		k.stats.QueueMS = k.totalWaitMS / float64(k.stats.Seqs)
+		if span := k.lastDone - k.firstArrival; span > 0 {
+			k.stats.TokensPerSec = float64(k.stats.TotalTokens) / span * 1000
+			if e.KVBlocks > 0 {
+				k.foldUtil(k.lastDone)
+				k.stats.KVUtil = k.utilInt / (float64(e.KVBlocks) * span)
+			}
+		}
+	}
+	return k.stats
+}
+
+// newKVSim wires a simulation over the request iterator onto a fresh
+// engine loop — first arrival armed, timeline sampler attached — ready
+// for the caller to run the loop.
+func (e *Engine) newKVSim(it *workload.GenIter, pol Policy) *kvSim {
 	k := &kvSim{
 		e:           e,
 		pol:         pol,
 		loop:        engine.New(),
-		it:          stream.Iter(),
+		it:          it,
 		blockTokens: e.BlockTokens,
 		slots:       make([]*kvSeq, e.MaxConcurrent),
 		slotEpoch:   make([]uint32, e.MaxConcurrent),
@@ -149,23 +171,7 @@ func (e *Engine) runKV(stream *workload.GenStream, pol Policy) *Stats {
 		k.loop.OnAdvance(func(prev, now float64) { k.tl.CatchUp(now, k.snapFn) })
 	}
 	k.loop.Add(k)
-	k.loop.Run()
-	if k.tl != nil && k.haveFirst {
-		k.tl.Finish(k.loop.Now(), k.snapFn)
-	}
-	if k.stats.Seqs > 0 {
-		k.stats.MeanMatchRate = k.sumRate / float64(k.stats.Seqs)
-		k.stats.MeanScore = k.sumScore / float64(k.stats.Seqs)
-		k.stats.QueueMS = k.totalWaitMS / float64(k.stats.Seqs)
-		if span := k.lastDone - k.firstArrival; span > 0 {
-			k.stats.TokensPerSec = float64(k.stats.TotalTokens) / span * 1000
-			if e.KVBlocks > 0 {
-				k.foldUtil(k.lastDone)
-				k.stats.KVUtil = k.utilInt / (float64(e.KVBlocks) * span)
-			}
-		}
-	}
-	return k.stats
+	return k
 }
 
 // Start schedules the first arrival; kvSim is an engine.Process.
@@ -193,7 +199,7 @@ func (k *kvSim) OnEvent(now float64, op uint8, arg uint64) {
 
 // arrive moves the pending request into the admission queue, drawing its
 // prefix-cache fate, and arms the next arrival event (one request of
-// lookahead, as in the classic path).
+// lookahead, so memory stays bounded by the queue, not the stream).
 func (k *kvSim) arrive(now float64) {
 	req := k.next
 	if r, ok := k.it.Next(); ok {
@@ -301,7 +307,7 @@ func (k *kvSim) admit(s *kvSeq, now float64) {
 }
 
 // record folds the sequence's decided tokens into the run's aggregates —
-// once, at first admission, exactly when the classic path would.
+// once, at first admission, when the policy decides them.
 func (k *kvSim) record(s *kvSeq) {
 	match := 0
 	for _, tk := range s.tokens {

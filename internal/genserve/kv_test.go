@@ -160,27 +160,29 @@ func TestKVPrefixDrawsOnlyFromLabeledStream(t *testing.T) {
 	}
 }
 
-// TestKVOffByteIdenticalToClassicPath: with every KV knob unset, Run
-// must take the classic slot path — same stats object semantics, no KV
-// counters, regardless of the engine seed (no gen.prefix draws happen).
-func TestKVOffByteIdenticalToClassicPath(t *testing.T) {
+// TestKVOffUnboundedPool: with every KV knob unset the pool is
+// unbounded — no KV counters, and no gen.prefix draws, so the engine
+// seed changes nothing — while the admission queue still reports its
+// wait: a saturating stream queues behind the busy slots.
+func TestKVOffUnboundedPool(t *testing.T) {
 	m := model.T5Large()
-	s := workload.CNNDailyMail(60, 3, 9)
-	run := func(seed uint64) *Stats {
+	run := func(s *workload.GenStream, seed uint64) *Stats {
 		e := NewEngine(m, exitsim.ProfileFor(m, exitsim.KindCNNDailyMail))
 		e.Seed = seed
-		if e.kvActive() {
-			t.Fatal("kvActive with no KV knob set")
-		}
 		return e.Run(s, NewApparateGen(m, e.Profile, 0.01))
 	}
-	a, b := run(1), run(99)
-	if a.KVUtil != 0 || a.PrefixHits != 0 || a.Preemptions != 0 || a.QueueMS != 0 {
-		t.Fatalf("classic path reported KV activity: %+v", a)
+	s := workload.CNNDailyMail(60, 3, 9)
+	a, b := run(s, 1), run(s, 99)
+	if a.KVUtil != 0 || a.PrefixHits != 0 || a.Preemptions != 0 {
+		t.Fatalf("unbounded pool reported KV activity: %+v", a)
 	}
 	if a.TokensPerSec != b.TokensPerSec || a.MeanMatchRate != b.MeanMatchRate ||
-		a.MeanScore != b.MeanScore || a.TotalTokens != b.TotalTokens {
-		t.Fatal("engine seed changed a KV-off run — a stray rng draw exists on the classic path")
+		a.MeanScore != b.MeanScore || a.TotalTokens != b.TotalTokens || a.QueueMS != b.QueueMS {
+		t.Fatal("engine seed changed a KV-off run — a stray rng draw exists on the unbounded pool")
+	}
+	// Arrivals far above the slots' service rate must wait for a slot.
+	if sat := run(workload.CNNDailyMail(60, 50, 9), 1); !(sat.QueueMS > 0) {
+		t.Fatalf("saturated unbounded pool reported queue_ms %v, want > 0", sat.QueueMS)
 	}
 }
 
@@ -244,7 +246,7 @@ func TestKVRunTokenFreeNoPanic(t *testing.T) {
 	if st.TPT().Len() != 0 {
 		t.Fatalf("token-free run recorded %d TPT samples", st.TPT().Len())
 	}
-	// The KV runtime handles the same degenerate streams.
+	// A bounded pool handles the same degenerate streams.
 	e.KVBlocks = 8
 	st = e.Run(kvStream(3, 64, 0), VanillaGen{})
 	if st.Seqs != 3 || st.TotalTokens != 0 {

@@ -117,12 +117,12 @@ func lastCompletion(tr *obs.Tracer) float64 {
 }
 
 // TestGenTracingDoesNotChangeResults: the sinks are passive — every
-// Stats observable is bit-identical with and without them, on both the
-// KV and the classic path.
+// Stats observable is bit-identical with and without them, with every
+// KV knob set and with none (the unbounded pool).
 func TestGenTracingDoesNotChangeResults(t *testing.T) {
-	run := func(kv, traced bool) *Stats {
+	run := func(knobs, traced bool) *Stats {
 		var e *Engine
-		if kv {
+		if knobs {
 			e = tracedKVEngine()
 		} else {
 			e = kvEngine()
@@ -132,16 +132,16 @@ func TestGenTracingDoesNotChangeResults(t *testing.T) {
 		}
 		return e.Run(kvStream(6, 24, 64), VanillaGen{})
 	}
-	for _, kv := range []bool{true, false} {
-		off, on := run(kv, false), run(kv, true)
+	for _, knobs := range []bool{true, false} {
+		off, on := run(knobs, false), run(knobs, true)
 		if off.Seqs != on.Seqs || off.TotalTokens != on.TotalTokens ||
 			off.TokensPerSec != on.TokensPerSec || off.MeanScore != on.MeanScore ||
 			off.KVUtil != on.KVUtil || off.QueueMS != on.QueueMS ||
 			off.Preemptions != on.Preemptions || off.PrefixHits != on.PrefixHits {
-			t.Fatalf("kv=%v: tracing changed results: off=%+v on=%+v", kv, off, on)
+			t.Fatalf("knobs=%v: tracing changed results: off=%+v on=%+v", knobs, off, on)
 		}
 		if off.TotalTokens > 0 && off.TPT().Percentile(99) != on.TPT().Percentile(99) {
-			t.Fatalf("kv=%v: tracing moved p99 TPT", kv)
+			t.Fatalf("knobs=%v: tracing moved p99 TPT", knobs)
 		}
 	}
 }
@@ -191,10 +191,10 @@ func TestGenTraceDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestGenClassicPathTraced: with no KV knob the classic slot path still
+// TestGenUnboundedPoolTraced: with no KV knob the unbounded pool still
 // traces arrivals, admissions, and completions on per-slot tracks, and
 // the timeline uses the generative column set.
-func TestGenClassicPathTraced(t *testing.T) {
+func TestGenUnboundedPoolTraced(t *testing.T) {
 	e := kvEngine()
 	e.MaxConcurrent = 2
 	tr := obs.NewTracer()
@@ -219,7 +219,7 @@ func TestGenClassicPathTraced(t *testing.T) {
 		}
 	}
 	if !tl.Gen {
-		t.Fatal("classic-path timeline not marked generative")
+		t.Fatal("unbounded-pool timeline not marked generative")
 	}
 	done := 0
 	for _, r := range tl.Rows {
@@ -233,17 +233,18 @@ func TestGenClassicPathTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.HasPrefix(csv.Bytes(), []byte("t_ms,running,queued,kv_free")) {
-		t.Fatalf("classic-path timeline CSV has wrong header: %q", csv.Bytes()[:40])
+		t.Fatalf("unbounded-pool timeline CSV has wrong header: %q", csv.Bytes()[:40])
 	}
 }
 
 // TestGenZeroSequenceTimelineHeaderOnly: an empty stream must produce a
-// header-only CSV and an empty trace without panicking, on both paths.
+// header-only CSV and an empty trace without panicking, with a bounded
+// pool and an unbounded one.
 func TestGenZeroSequenceTimelineHeaderOnly(t *testing.T) {
 	empty := workload.GenFromSlice("kv-test", exitsim.KindCNNDailyMail, nil)
-	for _, kv := range []bool{true, false} {
+	for _, bounded := range []bool{true, false} {
 		e := kvEngine()
-		if kv {
+		if bounded {
 			e.KVBlocks = 10
 		}
 		tr := obs.NewTracer()
@@ -251,17 +252,17 @@ func TestGenZeroSequenceTimelineHeaderOnly(t *testing.T) {
 		e.Trace, e.Timeline = tr, tl
 		st := e.Run(empty, VanillaGen{})
 		if st.Seqs != 0 {
-			t.Fatalf("kv=%v: empty stream completed %d sequences", kv, st.Seqs)
+			t.Fatalf("bounded=%v: empty stream completed %d sequences", bounded, st.Seqs)
 		}
 		if tr.Len() != 0 {
-			t.Fatalf("kv=%v: empty stream traced %d events", kv, tr.Len())
+			t.Fatalf("bounded=%v: empty stream traced %d events", bounded, tr.Len())
 		}
 		var csv bytes.Buffer
 		if err := tl.WriteCSV(&csv); err != nil {
 			t.Fatal(err)
 		}
 		if want := "t_ms,running,queued,kv_free,kv_held,kv_util,kv_block_ms,preempts,win_done,win_p99_ms,win_goodput_qps\n"; csv.String() != want {
-			t.Fatalf("kv=%v: zero-sequence CSV = %q, want header only", kv, csv.String())
+			t.Fatalf("bounded=%v: zero-sequence CSV = %q, want header only", bounded, csv.String())
 		}
 	}
 }

@@ -37,8 +37,10 @@ type Kind string
 const (
 	// KindArrive marks a request entering the system at its arrival time.
 	KindArrive Kind = "arrive"
-	// KindDispatch marks the dispatcher routing a request (or a retried /
-	// hedged copy) to a replica.
+	// KindDispatch marks the fault-mode dispatcher routing a request (or
+	// a retried / hedged copy) to a replica; Val is the attempt number.
+	// Reliable runs omit it: their enqueue (or queue-cap drop) follows
+	// at the same instant and names the replica.
 	KindDispatch Kind = "dispatch"
 	// KindEnqueue marks a copy joining a replica's queue; Val is the
 	// queue depth after the append.

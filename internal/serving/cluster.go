@@ -173,9 +173,8 @@ type ClusterStats struct {
 
 // Event classes on the shared engine loop. Arrivals rank before replica
 // wakes at the same instant, so every request that has arrived by time
-// t is enqueued before any replica forms a batch at t — the event-heap
-// form of the single-replica simulator's "admit everything that has
-// arrived by now" loop.
+// t is enqueued before any replica forms a batch at t: a replica always
+// decides over everything that has arrived by now.
 const (
 	classArrival engine.Class = iota
 	classWake
@@ -207,9 +206,8 @@ func (h *scaledHandler) Serve(s exitsim.Sample, b int) ramp.Outcome {
 }
 
 // replicaSim is one replica on the shared event loop: its own handler,
-// queue, GPU-busy horizon, and Stats. Batching policy decisions re-run
-// the exact logic of the single-replica simulator (clockworkPick /
-// tfservePick plus clockwork's catch-up hold), restructured as an
+// queue, GPU-busy horizon, and Stats. Batching policy decisions
+// (clockworkPick / tfservePick plus clockwork's catch-up hold) run as an
 // event-driven state machine: enqueue on arrival, wake at batch
 // completion / hold expiry / batch-timeout, re-evaluate the policy at
 // each wake.
@@ -387,8 +385,7 @@ func (r *replicaSim) onWake(now float64) {
 		// backlog (§2.1). The hold is admitted only while serving the
 		// grown batch would still meet the oldest request's SLO; the
 		// next arrival re-triggers this evaluation, growing the batch
-		// one admission at a time exactly like the single-replica
-		// simulator's catch-up loop.
+		// one admission at a time.
 		if len(rest) == 0 && len(batch) < r.opts.MaxBatch {
 			oldestWait := now - batch[0].ArrivalMS
 			if oldestWait > 0.25*r.opts.SLOms {
@@ -411,7 +408,7 @@ func (r *replicaSim) onWake(now float64) {
 		r.serve(batch, now)
 	case TFServe:
 		tNext, more := r.c.nextArrival()
-		batch, rest, _ := tfservePick(r.q(), now, more, tNext, r.opts)
+		batch, rest := tfservePick(r.q(), now, more, r.opts)
 		if batch == nil {
 			// Waiting: wake at the head's batch-timeout deadline or the
 			// next arrival, whichever comes first.
@@ -505,7 +502,7 @@ type clusterSim struct {
 	opts ClusterOptions
 	base Options // default-filled per-replica options (observer unset)
 
-	it   *workload.Iter
+	it   RequestSource
 	next workload.Request
 	has  bool
 
@@ -559,9 +556,8 @@ func (c *clusterSim) Start(l *engine.Loop) {
 
 // nextArrival exposes the source's one-request lookahead: the arrival
 // time of the next request not yet dispatched, if any. Replicas consult
-// it for clockwork's catch-up hold and TF-Serving's batch-timeout wait
-// — the same single request of future the single-replica simulator
-// peeks at.
+// it for clockwork's catch-up hold and TF-Serving's batch-timeout wait;
+// it is all the future the batching policies ever see.
 func (c *clusterSim) nextArrival() (float64, bool) {
 	return c.next.ArrivalMS, c.has
 }
@@ -592,14 +588,7 @@ func (c *clusterSim) onArrival(now float64) {
 	if c.fm != nil {
 		c.fm.dispatchNew(req, now)
 	} else {
-		target := c.dispatch(now)
-		if c.tr != nil {
-			e := obs.At(now, obs.KindDispatch)
-			e.Req = req.ID
-			e.Replica = target
-			c.tr.Emit(e)
-		}
-		rep := c.replicas[target]
+		rep := c.replicas[c.dispatch(now)]
 		if c.scaler != nil {
 			wait := rep.work(now)
 			c.winLat.Add(wait + rep.estCost)
@@ -808,6 +797,11 @@ func (c *clusterSim) addReplica(i int) {
 // worker count, and memory is bounded by queue depths — independent of
 // trace length.
 func RunCluster(stream *workload.Stream, makeHandler func(i int) Handler, opts ClusterOptions) *ClusterStats {
+	return runCluster(stream.Iter(), makeHandler, opts)
+}
+
+// runCluster is RunCluster over any request source.
+func runCluster(src RequestSource, makeHandler func(i int) Handler, opts ClusterOptions) *ClusterStats {
 	if opts.Autoscale == nil && opts.Replicas <= 0 {
 		panic("serving: RunCluster needs at least one replica")
 	}
@@ -816,7 +810,7 @@ func RunCluster(stream *workload.Stream, makeHandler func(i int) Handler, opts C
 		opts: opts,
 		base: opts.Options.withDefaults(),
 		mk:   makeHandler,
-		it:   stream.Iter(),
+		it:   src,
 	}
 	c.tr, c.tl = c.base.Trace, c.base.Timeline
 	if r, ok := c.it.Next(); ok {
@@ -882,8 +876,8 @@ func RunCluster(stream *workload.Stream, makeHandler func(i int) Handler, opts C
 		rep.st.finalize()
 		cs.PerReplica[i] = rep.st
 		mergeStats(merged, rep.st)
-		// AvgBatch averages the per-replica batch means, matching the
-		// single-replica definition per slice.
+		// AvgBatch averages the per-replica batch means, so a
+		// one-replica run reports that replica's own mean.
 		batches.Add(rep.st.AvgBatch)
 	}
 	if c.fm != nil {

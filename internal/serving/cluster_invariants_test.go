@@ -15,8 +15,8 @@ import (
 // TestClusterRuntimeInvariants pins the cluster runtime's accounting
 // across the configuration space it serves: both platforms, every
 // dispatch policy, homogeneous and heterogeneous speeds, vanilla,
-// frozen-ramp and adaptive Apparate handlers, even and uneven replica
-// counts, and both metrics modes. For every cell it checks that
+// frozen-ramp and adaptive Apparate handlers, one, even and uneven
+// replica counts, and both metrics modes. For every cell it checks that
 //
 //   - each request is resolved exactly once, by a replica in range, and
 //     round-robin sends request i to replica i mod R;
@@ -67,7 +67,7 @@ func TestClusterRuntimeInvariants(t *testing.T) {
 			for _, dispatch := range []Dispatch{RoundRobin, LeastLoaded, JoinShortestQueue} {
 				for _, hetero := range []string{"", "1,0.5"} {
 					for _, hc := range handlers {
-						for _, replicas := range []int{2, 5} {
+						for _, replicas := range []int{1, 2, 5} {
 							for _, mode := range []metrics.Mode{metrics.ModeExact, metrics.ModeSketch} {
 								name := fmt.Sprintf("%s/%s/%s/hetero=%s/%s/r%d/%s",
 									wl.name, platform, dispatch, hetero, hc.name, replicas, mode)
@@ -204,4 +204,22 @@ func TestClusterRuntimeInvariants(t *testing.T) {
 			}
 		}
 	}
+}
+
+// statsFingerprint renders every observable quantity of a Stats —
+// counts, rates, makespan, and the full latency recorder surface — in
+// full float precision, so two runs compare byte-identically.
+func statsFingerprint(s *Stats) string {
+	fp := fmt.Sprintf("total=%d delivered=%d drops=%d misses=%d correct=%d exits=%d "+
+		"avgbatch=%v droprate=%v missrate=%v tput=%v acc=%v first=%v last=%v lat_len=%d",
+		s.Total, s.Delivered, s.Drops, s.SLOMisses, s.Correct, s.Exits,
+		s.AvgBatch, s.DropRate, s.SLOMissRate, s.ThroughputQPS, s.Accuracy,
+		s.FirstArrivalMS, s.LastDoneMS, s.Lat.Len())
+	if s.Lat.Len() > 0 {
+		fp += fmt.Sprintf(" mean=%v min=%v max=%v", s.Lat.Mean(), s.Lat.Min(), s.Lat.Max())
+		for p := 1; p <= 100; p++ {
+			fp += fmt.Sprintf(" p%d=%v", p, s.Lat.Percentile(float64(p)))
+		}
+	}
+	return fp
 }

@@ -41,8 +41,7 @@ func faultCluster(m *model.Model, n, replicas int, qps float64, seed uint64, slo
 // no-perturbation contract: a run with the fault machinery disabled is
 // byte-identical whatever FaultSeed says, because no fault stream is
 // ever created, let alone drawn from. (The other half — faults=off
-// equals the pre-fault simulator — is pinned by the golden sweep rows
-// and the single-replica equivalence gate.)
+// equals the pre-fault simulator — is pinned by the golden sweep rows.)
 func TestFaultSeedDoesNotPerturbReliableRuns(t *testing.T) {
 	m := model.ResNet50()
 	a := faultCluster(m, 2000, 2, 60, 71, 1, ClusterOptions{Dispatch: LeastLoaded})
