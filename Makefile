@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-cluster bench-faults bench-obs bench-stream bench-gen bench-all sweep-smoke mem-smoke mem-soak golden ci
+.PHONY: build test vet race bench-test bench bench-cluster bench-faults bench-obs bench-stream bench-gen bench-all sweep-smoke mem-smoke mem-soak golden ci
 
 # Stamps the measurement provenance — commit, toolchain, machine — into
 # a freshly regenerated BENCH_*.json, so numbers from different epochs
@@ -31,6 +31,12 @@ race:
 	$(GO) run -race ./cmd/apparate-sweep -models resnet18,resnet50 -workloads video-0 \
 		-replicas 4 -dispatch least-loaded -n 1500 -seed 5 -quiet >/dev/null
 	@echo "race: clean (incl. 4-replica round-robin and least-loaded clusters under parallel sweep workers)"
+
+# The repository benchmark's own tests (perfbench is a module of its
+# own, so the root ./... does not reach it): every workload at a tiny
+# size through the code the benchmark times.
+bench-test:
+	cd perfbench && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
@@ -349,4 +355,4 @@ mem-soak:
 golden:
 	$(GO) test -run TestGoldenSweep -update .
 
-ci: build test vet race sweep-smoke mem-smoke
+ci: build test vet bench-test race sweep-smoke mem-smoke

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/model"
@@ -31,22 +32,20 @@ func (c *Controller) utilities(recs []Record) []Utility {
 	for i, r := range cfg.Active {
 		out[i].NodeID = r.Site.NodeID
 	}
+	thresholds := cfg.Thresholds()
+	var buf [stackCols]int
+	cols := columns(buf[:0], cfg)
 	for _, rec := range recs {
-		exited := false
+		exit, _ := exitRamp(rec, cols, thresholds)
 		for i, r := range cfg.Active {
-			ob, ok := rec.Obs[r.Site.NodeID]
-			if exited {
-				break
-			}
-			if ok && ob.Err < r.Threshold {
+			if i == exit {
 				// Saving: the layers this input skipped.
 				out[i].Savings += base * (1 - r.Site.Frac)
 				out[i].Exits++
-				exited = true
-			} else {
-				// The ramp ran but could not exit this input.
-				out[i].Overhead += base * r.Style.OverheadFrac
+				break
 			}
+			// The ramp ran but could not exit this input.
+			out[i].Overhead += base * r.Style.OverheadFrac
 		}
 	}
 	return out
@@ -70,7 +69,7 @@ func (c *Controller) AdjustRamps() bool {
 		return true
 	}
 	recs := c.window()
-	if len(recs) < c.Opts.AccWindow {
+	if len(recs) < accWindow {
 		return false
 	}
 	c.AdjustRounds++
@@ -89,7 +88,7 @@ func (c *Controller) AdjustRamps() bool {
 		// Try a fast threshold-tuning round first: thresholds may be
 		// able to make every utility positive without hurting savings.
 		before := EvalThresholds(c.Cfg, recs, c.Cfg.Thresholds())
-		tuned := GreedySearch(c.Cfg, recs, c.tuneBudget(), c.Opts.InitStep, c.Opts.MinStep)
+		tuned := GreedySearch(c.Cfg, recs, c.tuneBudget())
 		if tuned.SavingFrac >= before.SavingFrac {
 			c.Cfg.SetThresholds(tuned.Thresholds)
 			utils = c.utilities(recs)
@@ -349,22 +348,23 @@ func (c *Controller) largestGapSite() (model.RampSite, bool) {
 			gapLo, gapHi = depths[i-1], depths[i]
 		}
 	}
-	mid := (gapLo + gapHi) / 2
+	return c.midpointSite(gapLo, gapHi)
+}
+
+// midpointSite returns the feasible site strictly between depths lo and
+// hi, not too close to an active ramp, that lies nearest the interval's
+// midpoint (the shallower one on a tie).
+func (c *Controller) midpointSite(lo, hi float64) (model.RampSite, bool) {
+	mid := (lo + hi) / 2
 	var found model.RampSite
 	ok := false
 	bestDist := 2.0
-	for _, s := range cfg.Sites {
-		if s.Frac <= gapLo || s.Frac >= gapHi || c.tooClose(s) {
+	for _, s := range c.Cfg.Sites {
+		if s.Frac <= lo || s.Frac >= hi || c.tooClose(s) {
 			continue
 		}
-		dist := s.Frac - mid
-		if dist < 0 {
-			dist = -dist
-		}
-		if dist < bestDist {
-			bestDist = dist
-			found = s
-			ok = true
+		if dist := math.Abs(s.Frac - mid); dist < bestDist {
+			bestDist, found, ok = dist, s, true
 		}
 	}
 	return found, ok
@@ -396,33 +396,11 @@ func (c *Controller) tooClose(s model.RampSite) bool {
 // gap midpoints closes coverage holes in O(log gap) rounds after
 // deactivation storms instead of one adjacent site at a time.
 func (c *Controller) siteBefore(site model.RampSite) (model.RampSite, bool) {
-	cfg := c.Cfg
 	prevActive := 0.0
-	for _, r := range cfg.Active {
+	for _, r := range c.Cfg.Active {
 		if r.Site.Frac < site.Frac && r.Site.Frac > prevActive {
 			prevActive = r.Site.Frac
 		}
 	}
-	mid := (prevActive + site.Frac) / 2
-	var found model.RampSite
-	ok := false
-	bestDist := 2.0
-	for _, s := range cfg.Sites {
-		if s.Frac >= site.Frac || s.Frac <= prevActive {
-			continue
-		}
-		if c.tooClose(s) {
-			continue
-		}
-		dist := s.Frac - mid
-		if dist < 0 {
-			dist = -dist
-		}
-		if dist < bestDist {
-			bestDist = dist
-			found = s
-			ok = true
-		}
-	}
-	return found, ok
+	return c.midpointSite(prevActive, site.Frac)
 }

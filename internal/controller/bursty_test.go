@@ -34,9 +34,7 @@ func TestTuneThresholdsEmptyWindow(t *testing.T) {
 func TestTuneThresholdsSingleRecordWindow(t *testing.T) {
 	cfg := newCfg()
 	ctl := New(cfg, Config{})
-	recs := makeRecords(cfg, videoSamples(1))
-	ctl.records[0] = recs[0]
-	ctl.next, ctl.filled = 1, 1
+	ctl.record(cfg.Evaluate(videoSamples(1)[0], 1).PerRamp)
 	// One record: the train/validate split degenerates (train empty), so
 	// tuning must fall back to searching the whole window.
 	ctl.TuneThresholds()
@@ -49,11 +47,9 @@ func TestTuneThresholdsSingleRecordWindow(t *testing.T) {
 func TestTuneThresholdsNoActiveRamps(t *testing.T) {
 	cfg := newCfg()
 	ctl := New(cfg, Config{})
-	recs := makeRecords(cfg, videoSamples(64))
-	for i, r := range recs {
-		ctl.records[i] = r
+	for _, s := range videoSamples(64) {
+		ctl.record(cfg.Evaluate(s, 1).PerRamp)
 	}
-	ctl.next, ctl.filled = 64, 64
 	for len(cfg.Active) > 0 {
 		cfg.Deactivate(0)
 	}
@@ -65,7 +61,7 @@ func TestTuneThresholdsNoActiveRamps(t *testing.T) {
 
 func TestObserveAlternatingMissesTriggersTuning(t *testing.T) {
 	cfg := newCfg()
-	ctl := New(cfg, Config{AccWindow: 16, AccConstraint: 0.01})
+	ctl := New(cfg, Config{AccConstraint: 0.01})
 	// Alternate correct/incorrect outcomes: windowed accuracy ~0.5 is a
 	// hard violation of the 1% constraint, so tuning must fire as soon
 	// as the window fills, and the accuracy window must be judged on
@@ -90,8 +86,9 @@ func TestObserveAlternatingMissesTriggersTuning(t *testing.T) {
 
 func TestObserveAllCorrectNeverTunesOnAccuracy(t *testing.T) {
 	cfg := newCfg()
-	ctl := New(cfg, Config{AccWindow: 16, AccConstraint: 0.01, AdjustEvery: 1 << 30})
-	for _, s := range videoSamples(128) {
+	ctl := New(cfg, Config{AccConstraint: 0.01})
+	// Stop short of the first ramp-adjustment round, which would tune.
+	for _, s := range videoSamples(adjustEvery - 1) {
 		out := cfg.Evaluate(s, 1)
 		out.Correct = true
 		ctl.Observe(out)

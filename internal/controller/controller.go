@@ -11,60 +11,98 @@
 package controller
 
 import (
+	"math"
+
 	"repro/internal/metrics"
 	"repro/internal/ramp"
 )
 
 // Record is the per-input profiling data streamed from the GPU: one
-// observation per active ramp, keyed by the ramp site's node ID so the
-// history survives ramp-set changes.
-type Record struct {
-	Obs map[int]ramp.Observation
+// observation per feasible ramp site, in cfg.Sites order, so the
+// history survives ramp-set changes. A site that had no active ramp
+// when the input was recorded holds Err NaN, which is below no
+// threshold: the input can never exit there.
+type Record []ramp.Observation
+
+// absent fills the columns of sites that were inactive at recording.
+var absent = ramp.Observation{Err: math.NaN()}
+
+// columns appends to dst the record column of each active ramp, in
+// cfg.Active order. Active ramps and feasible sites are both ordered by
+// strictly increasing depth, so this is one forward merge walk. Every
+// active ramp must sit at one of the sites.
+func columns(dst []int, cfg *ramp.Config) []int {
+	col := 0
+	for _, r := range cfg.Active {
+		for cfg.Sites[col].NodeID != r.Site.NodeID {
+			col++
+		}
+		dst = append(dst, col)
+	}
+	return dst
 }
 
-// Config holds the controller's tunables; zero fields take defaults.
+// Fill files one input's per-ramp observations (an Outcome.PerRamp, in
+// cfg.Active order) into rec, reusing rec's storage when it has room
+// for a column per feasible site, and returns the row.
+func Fill(rec Record, cfg *ramp.Config, perRamp []ramp.Observation) Record {
+	if cap(rec) < len(cfg.Sites) {
+		rec = make(Record, len(cfg.Sites))
+	}
+	rec = rec[:len(cfg.Sites)]
+	for col := range rec {
+		rec[col] = absent
+	}
+	var buf [stackCols]int
+	for i, col := range columns(buf[:0], cfg) {
+		rec[col] = perRamp[i]
+	}
+	return rec
+}
+
+// exitRamp is the replay rule shared by threshold evaluation and
+// utility scoring: the record exits at the earliest active ramp whose
+// recorded error score is below its threshold. cols are the active
+// ramps' record columns (see columns). It returns that ramp's active
+// index and observation, or -1 if the record runs to the end.
+func exitRamp(rec Record, cols []int, thresholds []float64) (int, ramp.Observation) {
+	for i, col := range cols {
+		if ob := rec[col]; ob.Err < thresholds[i] {
+			return i, ob
+		}
+	}
+	return -1, ramp.Observation{}
+}
+
+// stackCols sizes the stack buffers that hold the active ramps' record
+// columns during a replay; larger active sets spill to the heap.
+const stackCols = 16
+
+// The controller's cadences and search steps.
+const (
+	// accWindow is the trigger window length (paper default 16).
+	accWindow = 16
+	// recordWindow is how many recent records tuning replays (the
+	// paper tunes on "the last window of data"; 512 is wide enough that
+	// threshold evaluations are statistically stable for
+	// low-continuity workloads, short enough to track drift).
+	recordWindow = 512
+	// adjustEvery is the ramp-adjustment period in samples.
+	adjustEvery = 128
+	// initStep and minStep are the starting and smallest threshold
+	// steps of the greedy search (paper: 0.1 and 0.01).
+	initStep = 0.1
+	minStep  = 0.01
+)
+
+// Config holds the controller's user-facing knobs.
 type Config struct {
 	// AccConstraint is the maximum tolerable accuracy loss relative to
-	// the original model (paper default 0.01).
+	// the original model (zero takes the paper default 0.01).
 	AccConstraint float64
-	// AccWindow is the trigger window length (paper default 16).
-	AccWindow int
-	// RecordWindow is how many recent records tuning replays (the paper
-	// tunes on "the last window of data"; default 512 — wide enough
-	// that threshold evaluations are statistically stable for
-	// low-continuity workloads, short enough to track drift).
-	RecordWindow int
-	// AdjustEvery is the ramp-adjustment period in samples (default 128).
-	AdjustEvery int
-	// MinStep is the smallest threshold step (paper: 0.01).
-	MinStep float64
-	// InitStep is the starting threshold step (paper: 0.1).
-	InitStep float64
 	// DisableRampAdjust turns off Algorithm 2 (used by the §4.5
 	// ablation).
 	DisableRampAdjust bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.AccConstraint == 0 {
-		c.AccConstraint = 0.01
-	}
-	if c.AccWindow == 0 {
-		c.AccWindow = 16
-	}
-	if c.RecordWindow == 0 {
-		c.RecordWindow = 512
-	}
-	if c.AdjustEvery == 0 {
-		c.AdjustEvery = 128
-	}
-	if c.MinStep == 0 {
-		c.MinStep = 0.01
-	}
-	if c.InitStep == 0 {
-		c.InitStep = 0.1
-	}
-	return c
 }
 
 // Controller adapts one model replica's early-exit configuration.
@@ -72,10 +110,14 @@ type Controller struct {
 	Cfg  *ramp.Config
 	Opts Config
 
-	acc     *metrics.AccuracyWindow
-	records []Record // ring buffer
-	next    int
-	filled  int
+	acc *metrics.AccuracyWindow
+	// rows is the record window as a ring of recordWindow rows carved
+	// from one array, listed twice: rows[k] and rows[k+recordWindow]
+	// share storage, so any run of consecutive ring slots, oldest
+	// first, is a plain subslice and the window is never copied.
+	rows   []Record
+	next   int
+	filled int
 
 	sinceAdjust int
 
@@ -97,12 +139,21 @@ type Controller struct {
 
 // New returns a controller managing the given ramp configuration.
 func New(cfg *ramp.Config, opts Config) *Controller {
-	opts = opts.withDefaults()
+	if opts.AccConstraint == 0 {
+		opts.AccConstraint = 0.01
+	}
+	width := len(cfg.Sites)
+	cells := make(Record, recordWindow*width)
+	rows := make([]Record, 2*recordWindow)
+	for k := 0; k < recordWindow; k++ {
+		row := cells[k*width : (k+1)*width : (k+1)*width]
+		rows[k], rows[k+recordWindow] = row, row
+	}
 	return &Controller{
 		Cfg:       cfg,
 		Opts:      opts,
-		acc:       metrics.NewAccuracyWindow(opts.AccWindow),
-		records:   make([]Record, opts.RecordWindow),
+		acc:       metrics.NewAccuracyWindow(accWindow),
+		rows:      rows,
 		negStreak: make(map[int]int),
 	}
 }
@@ -112,15 +163,7 @@ func New(cfg *ramp.Config, opts Config) *Controller {
 // loops at their respective cadences. It returns true if the exit
 // configuration changed.
 func (c *Controller) Observe(out ramp.Outcome) bool {
-	rec := Record{Obs: make(map[int]ramp.Observation, len(out.PerRamp))}
-	for i, ob := range out.PerRamp {
-		rec.Obs[c.Cfg.Active[i].Site.NodeID] = ob
-	}
-	c.records[c.next] = rec
-	c.next = (c.next + 1) % len(c.records)
-	if c.filled < len(c.records) {
-		c.filled++
-	}
+	c.record(out.PerRamp)
 	c.acc.Observe(out.Correct)
 
 	changed := false
@@ -136,7 +179,7 @@ func (c *Controller) Observe(out ramp.Outcome) bool {
 	// threshold-tuning round so exiting still bootstraps off the initial
 	// all-zero thresholds.
 	c.sinceAdjust++
-	if c.sinceAdjust >= c.Opts.AdjustEvery {
+	if c.sinceAdjust >= adjustEvery {
 		c.sinceAdjust = 0
 		if c.Opts.DisableRampAdjust {
 			c.TuneThresholds()
@@ -148,23 +191,20 @@ func (c *Controller) Observe(out ramp.Outcome) bool {
 	return changed
 }
 
-// window returns the recorded window, oldest first.
-func (c *Controller) window() []Record {
-	return c.lastRecords(c.filled)
+// record files one input's observations over the oldest ring slot.
+func (c *Controller) record(perRamp []ramp.Observation) {
+	Fill(c.rows[c.next], c.Cfg, perRamp)
+	c.next = (c.next + 1) % recordWindow
+	if c.filled < recordWindow {
+		c.filled++
+	}
 }
 
-// lastRecords returns the most recent n records, oldest first.
-func (c *Controller) lastRecords(n int) []Record {
-	if n > c.filled {
-		n = c.filled
-	}
-	out := make([]Record, 0, n)
-	start := c.next - n
-	for i := 0; i < n; i++ {
-		idx := (start + i + len(c.records)) % len(c.records)
-		out = append(out, c.records[idx])
-	}
-	return out
+// window returns the recorded window, oldest first. The rows are the
+// ring's own storage: valid until the next record.
+func (c *Controller) window() []Record {
+	start := (c.next - c.filled + recordWindow) % recordWindow
+	return c.rows[start : start+c.filled]
 }
 
 // TuneThresholds runs one greedy tuning round and installs the resulting
@@ -183,11 +223,11 @@ func (c *Controller) TuneThresholds() {
 	split := len(recs) * 3 / 5
 	train, validate := recs[:split], recs[split:]
 	if len(train) == 0 || len(validate) == 0 {
-		res := GreedySearch(c.Cfg, recs, c.tuneBudget(), c.Opts.InitStep, c.Opts.MinStep)
+		res := GreedySearch(c.Cfg, recs, c.tuneBudget())
 		c.Cfg.SetThresholds(res.Thresholds)
 		return
 	}
-	res := GreedySearch(c.Cfg, train, c.tuneBudget(), c.Opts.InitStep, c.Opts.MinStep)
+	res := GreedySearch(c.Cfg, train, c.tuneBudget())
 	ts := res.Thresholds
 	for i := 0; i < 12; i++ {
 		if EvalThresholds(c.Cfg, validate, ts).AccLoss <= c.tuneBudget() {

@@ -19,20 +19,11 @@ func newCfg() *ramp.Config {
 	return cfg
 }
 
-// record converts an outcome into a controller Record.
-func record(cfg *ramp.Config, out ramp.Outcome) Record {
-	rec := Record{Obs: make(map[int]ramp.Observation)}
-	for i, ob := range out.PerRamp {
-		rec.Obs[cfg.Active[i].Site.NodeID] = ob
-	}
-	return rec
-}
-
 // makeRecords evaluates n samples from the stream through cfg.
 func makeRecords(cfg *ramp.Config, samples []exitsim.Sample) []Record {
 	recs := make([]Record, len(samples))
 	for i, s := range samples {
-		recs[i] = record(cfg, cfg.Evaluate(s, 1))
+		recs[i] = Fill(nil, cfg, cfg.Evaluate(s, 1).PerRamp)
 	}
 	return recs
 }
@@ -102,10 +93,11 @@ func TestEvalEarliestRampWins(t *testing.T) {
 func TestEvalMissingObservationsNoExit(t *testing.T) {
 	cfg := newCfg()
 	recs := makeRecords(cfg, videoSamples(50))
-	// Strip ramp 0's observations: no record can exit there.
-	node0 := cfg.Active[0].Site.NodeID
+	// Blank ramp 0's observations, as if it had been inactive when the
+	// inputs were recorded: no record can exit there.
+	col := columns(nil, cfg)[0]
 	for _, rec := range recs {
-		delete(rec.Obs, node0)
+		rec[col] = absent
 	}
 	ts := make([]float64, len(cfg.Active))
 	ts[0] = 1.0
@@ -115,11 +107,99 @@ func TestEvalMissingObservationsNoExit(t *testing.T) {
 	}
 }
 
+// allOnes returns threshold 1 for every active ramp: any observed
+// error score exits.
+func allOnes(cfg *ramp.Config) []float64 {
+	ts := make([]float64, len(cfg.Active))
+	for i := range ts {
+		ts[i] = 1
+	}
+	return ts
+}
+
+// activeIndex returns the active index of the ramp at the given site.
+func activeIndex(t *testing.T, cfg *ramp.Config, site model.RampSite) int {
+	t.Helper()
+	for i, r := range cfg.Active {
+		if r.Site.NodeID == site.NodeID {
+			return i
+		}
+	}
+	t.Fatalf("site node %d not active", site.NodeID)
+	return -1
+}
+
+func TestHistoryAcrossRampChurn(t *testing.T) {
+	cfg := newCfg()
+	recs := makeRecords(cfg, videoSamples(200))
+	removed := cfg.Active[0].Site
+	before := EvalThresholds(cfg, recs, allOnes(cfg))
+	if before.ExitCount[0] == 0 {
+		t.Fatal("shallowest ramp exits nothing at threshold 1; test setup broken")
+	}
+
+	// Swap the shallowest ramp for the shallowest site that was never
+	// active: the records hold no observation there.
+	cfg.Deactivate(0)
+	var fresh model.RampSite
+	found := false
+	for _, s := range cfg.Sites {
+		if s.NodeID != removed.NodeID && cfg.Activate(s, ramp.StyleDefault) == nil {
+			fresh, found = s, true
+			break
+		}
+	}
+	if !found {
+		t.Fatal("no unused site to activate")
+	}
+	cfg.SetThresholds(allOnes(cfg))
+	ctl := New(cfg, Config{})
+	if got := EvalThresholds(cfg, recs, allOnes(cfg)).ExitCount[activeIndex(t, cfg, fresh)]; got != 0 {
+		t.Fatalf("new site exits %d old records at threshold 1, want 0", got)
+	}
+	if u := ctl.utilities(recs)[activeIndex(t, cfg, fresh)]; u.Exits != 0 || u.Savings != 0 {
+		t.Fatalf("new site credited with old records' exits: %+v", u)
+	}
+
+	// Reactivating the removed site brings its old exits back.
+	cfg.BudgetFrac += ramp.StyleDefault.OverheadFrac
+	if err := cfg.Activate(removed, ramp.StyleDefault); err != nil {
+		t.Fatal(err)
+	}
+	cfg.SetThresholds(allOnes(cfg))
+	after := EvalThresholds(cfg, recs, allOnes(cfg))
+	if got := after.ExitCount[activeIndex(t, cfg, removed)]; got != before.ExitCount[0] {
+		t.Fatalf("reactivated site exits %d records, want its original %d", got, before.ExitCount[0])
+	}
+	if got := after.ExitCount[activeIndex(t, cfg, fresh)]; got != 0 {
+		t.Fatalf("new site exits %d old records after reactivation, want 0", got)
+	}
+	if u := ctl.utilities(recs)[activeIndex(t, cfg, removed)]; u.Exits != before.ExitCount[0] {
+		t.Fatalf("reactivated site credited %d exits, want %d", u.Exits, before.ExitCount[0])
+	}
+}
+
+// TestZooSitesStrictlyDeeper pins the ordering the record format relies
+// on: every model's feasible sites have strictly increasing depth, so
+// the active set (kept sorted by depth) maps onto record columns by one
+// forward walk.
+func TestZooSitesStrictlyDeeper(t *testing.T) {
+	for _, m := range model.All() {
+		sites := m.FeasibleRamps()
+		for i := 1; i < len(sites); i++ {
+			if sites[i].Frac <= sites[i-1].Frac {
+				t.Fatalf("%s: site %d depth %v not after site %d depth %v",
+					m.Name, i, sites[i].Frac, i-1, sites[i-1].Frac)
+			}
+		}
+	}
+}
+
 func TestGreedyRespectsBudget(t *testing.T) {
 	cfg := newCfg()
 	recs := makeRecords(cfg, videoSamples(256))
 	for _, budget := range []float64{0.01, 0.02, 0.05} {
-		res := GreedySearch(cfg, recs, budget, 0.1, 0.01)
+		res := GreedySearch(cfg, recs, budget)
 		if res.AccLoss > budget {
 			t.Fatalf("greedy violated budget %v: loss %v", budget, res.AccLoss)
 		}
@@ -129,7 +209,7 @@ func TestGreedyRespectsBudget(t *testing.T) {
 func TestGreedyFindsSavings(t *testing.T) {
 	cfg := newCfg()
 	recs := makeRecords(cfg, videoSamples(256))
-	res := GreedySearch(cfg, recs, 0.01, 0.1, 0.01)
+	res := GreedySearch(cfg, recs, 0.01)
 	if res.SavingFrac <= 0 {
 		t.Fatal("greedy found no savings on an easy video workload")
 	}
@@ -146,7 +226,7 @@ func TestGreedyNearOptimal(t *testing.T) {
 	recs := makeRecords(cfg, videoSamples(256))
 
 	grid := GridSearch(cfg, recs, 0.01, 0.05)
-	greedy := GreedySearch(cfg, recs, 0.01, 0.1, 0.01)
+	greedy := GreedySearch(cfg, recs, 0.01)
 	if grid.SavingFrac <= 0 {
 		t.Fatal("grid found no savings; test setup broken")
 	}
@@ -167,7 +247,7 @@ func TestGreedyFarFewerEvalsThanGrid(t *testing.T) {
 		_ = cfg.Activate(cfg.Sites[i], ramp.StyleDefault)
 	}
 	recs := makeRecords(cfg, videoSamples(128))
-	greedy := GreedySearch(cfg, recs, 0.01, 0.1, 0.01)
+	greedy := GreedySearch(cfg, recs, 0.01)
 	// Grid with step 0.1 over 4 ramps = 11^4 = 14641 evals.
 	if greedy.Evals > 1464 {
 		t.Fatalf("greedy used %d evals, want <= 10%% of grid's 14641", greedy.Evals)
@@ -284,8 +364,6 @@ func TestUtilitiesNegativeWithoutExits(t *testing.T) {
 	cfg := newCfg() // thresholds all zero: no exits
 	ctl := New(cfg, Config{})
 	recs := makeRecords(cfg, videoSamples(128))
-	copy(ctl.records, recs)
-	ctl.filled = len(recs)
 	utils := ctl.utilities(recs)
 	for i, u := range utils {
 		if u.Net() >= 0 {
@@ -372,9 +450,7 @@ func TestSiteBefore(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	if c.AccConstraint != 0.01 || c.AccWindow != 16 || c.RecordWindow != 512 ||
-		c.AdjustEvery != 128 || c.MinStep != 0.01 || c.InitStep != 0.1 {
+	if c := New(newCfg(), Config{}).Opts; c.AccConstraint != 0.01 {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 }

@@ -23,10 +23,9 @@ type EvalResult struct {
 // EvalThresholds replays the window under the given thresholds and
 // reports accuracy and latency effects, accounting for inter-ramp
 // dependencies (an input exits at the *earliest* ramp whose score is
-// below threshold). Inputs lacking an observation for a ramp (the ramp
-// was activated after they were recorded) are treated as not exiting
-// there. No inference is required — exactly the §3.2 evaluation
-// mechanism.
+// below threshold, see exitRamp). Inputs recorded before a ramp was
+// activated hold no observation there and never exit at it. No
+// inference is required — exactly the §3.2 evaluation mechanism.
 func EvalThresholds(cfg *ramp.Config, recs []Record, thresholds []float64) EvalResult {
 	res := EvalResult{ExitCount: make([]int, len(cfg.Active))}
 	if len(recs) == 0 {
@@ -35,36 +34,26 @@ func EvalThresholds(cfg *ramp.Config, recs []Record, thresholds []float64) EvalR
 	wrong := 0
 	totalSaving := 0.0
 	allOverhead := cfg.OverheadFrac()
+	var buf [stackCols]int
+	cols := columns(buf[:0], cfg)
 	for _, rec := range recs {
-		exit := -1
-		overheadUpTo := 0.0
-		var exitFrac, exitOverhead float64
-		var match bool
-		for i, r := range cfg.Active {
-			overheadUpTo += r.Style.OverheadFrac
-			ob, ok := rec.Obs[r.Site.NodeID]
-			if !ok {
-				continue
-			}
-			if ob.Err < thresholds[i] {
-				exit = i
-				exitFrac = r.Site.Frac
-				exitOverhead = overheadUpTo
-				match = ob.Match
-				break
-			}
+		exit, ob := exitRamp(rec, cols, thresholds)
+		if exit < 0 {
+			// Non-exits save nothing (and pay all ramp overheads,
+			// already in the baseline of "serving with this ramp set").
+			continue
 		}
-		if exit >= 0 {
-			res.ExitCount[exit]++
-			if !match {
-				wrong++
-			}
-			// Saving relative to running the full model with all ramps:
-			// forgone layers minus the overhead of ramps up to the exit.
-			totalSaving += (1 + allOverhead) - (exitFrac + exitOverhead)
+		res.ExitCount[exit]++
+		if !ob.Match {
+			wrong++
 		}
-		// Non-exits save nothing (and pay all ramp overheads, already in
-		// the baseline of "serving with this ramp set").
+		exitOverhead := 0.0
+		for _, r := range cfg.Active[:exit+1] {
+			exitOverhead += r.Style.OverheadFrac
+		}
+		// Saving relative to running the full model with all ramps:
+		// forgone layers minus the overhead of ramps up to the exit.
+		totalSaving += (1 + allOverhead) - (cfg.Active[exit].Site.Frac + exitOverhead)
 	}
 	n := float64(len(recs))
 	res.AccLoss = float64(wrong) / n
@@ -90,7 +79,7 @@ type TuneResult struct {
 // productive direction and halve when a ramp oversteps the accuracy
 // boundary; the search stops when every step has collapsed to minStep
 // and no move is admissible.
-func GreedySearch(cfg *ramp.Config, recs []Record, accBudget, initStep, minStep float64) TuneResult {
+func GreedySearch(cfg *ramp.Config, recs []Record, accBudget float64) TuneResult {
 	n := len(cfg.Active)
 	thresholds := make([]float64, n)
 	steps := make([]float64, n)

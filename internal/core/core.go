@@ -110,22 +110,7 @@ type System struct {
 // enforcing the accuracy constraint.
 func New(m *model.Model, kind exitsim.Kind, cfg Config) *System {
 	cfg = cfg.withDefaults()
-	profile := exitsim.ProfileFor(m, kind)
-	h := serving.NewApparate(m, profile, cfg.RampBudget, controller.Config{
-		AccConstraint:     cfg.AccuracyConstraint,
-		DisableRampAdjust: cfg.DisableRampAdjust,
-	})
-	if cfg.Style.Name != ramp.StyleDefault.Name {
-		// Redeploy with the requested ramp architecture.
-		h.Cfg.DeployInitial(cfg.Style)
-	}
-	if cfg.ExitRule != "" {
-		rule, err := exitrule.ByName(cfg.ExitRule)
-		if err != nil {
-			panic(err) // registration-time misconfiguration
-		}
-		h.Cfg.Rule = rule
-	}
+	h := newApparate(m, kind, cfg)
 	slo := cfg.SLOms
 	if slo == 0 {
 		slo = m.SLO()
@@ -141,6 +126,29 @@ func New(m *model.Model, kind exitsim.Kind, cfg Config) *System {
 		},
 		cfg: cfg,
 	}
+}
+
+// newApparate builds one replica's Apparate handler: the default ramp
+// deployment (redeployed in cfg.Style when another architecture is
+// asked for), a controller enforcing the accuracy constraint, and the
+// configured exit rule. cfg must have its defaults filled.
+func newApparate(m *model.Model, kind exitsim.Kind, cfg Config) *serving.ApparateHandler {
+	h := serving.NewApparate(m, exitsim.ProfileFor(m, kind), cfg.RampBudget, controller.Config{
+		AccConstraint:     cfg.AccuracyConstraint,
+		DisableRampAdjust: cfg.DisableRampAdjust,
+	})
+	if cfg.Style.Name != ramp.StyleDefault.Name {
+		// Redeploy with the requested ramp architecture.
+		h.Cfg.DeployInitial(cfg.Style)
+	}
+	if cfg.ExitRule != "" {
+		rule, err := exitrule.ByName(cfg.ExitRule)
+		if err != nil {
+			panic(err) // registration-time misconfiguration
+		}
+		h.Cfg.Rule = rule
+	}
+	return h
 }
 
 // Serve runs the workload through the platform with Apparate managing

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/autoscale"
-	"repro/internal/controller"
 	"repro/internal/exitrule"
 	"repro/internal/exitsim"
 	"repro/internal/faults"
@@ -560,7 +559,7 @@ func runClassScenario(sc Scenario, od *ObsData) (*Result, error) {
 		RampBudget:         sc.RampBudget,
 		ExitRule:           sc.ExitRule,
 		Metrics:            mode,
-	}
+	}.withDefaults()
 	cfg.Platform, _ = serving.ParsePlatform(sc.Platform)
 	res := &Result{Scenario: sc, Requests: stream.Len()}
 
@@ -610,16 +609,8 @@ func runClassScenario(sc Scenario, od *ObsData) (*Result, error) {
 	// runs on the one goroutine of the scenario's event loop.
 	handlers := make([]*serving.ApparateHandler, maxReplicas)
 	mkApparate := func(i int) serving.Handler {
-		h := serving.NewApparate(m, exitsim.ProfileFor(m, kind), cfg.RampBudget, controller.Config{
-			AccConstraint:     cfg.AccuracyConstraint,
-			DisableRampAdjust: cfg.DisableRampAdjust,
-		})
-		if cfg.ExitRule != "" {
-			rule, _ := exitrule.ByName(cfg.ExitRule)
-			h.Cfg.Rule = rule
-		}
-		handlers[i] = h
-		return h
+		handlers[i] = newApparate(m, kind, cfg)
+		return handlers[i]
 	}
 	mkVanilla := func(int) serving.Handler { return &serving.VanillaHandler{Model: m} }
 	v := serving.RunCluster(stream, mkVanilla, opts)

@@ -50,7 +50,7 @@ func fig8() []Table {
 			cfg := ramp.NewConfig(c.m, prof, 0.02)
 			cfg.DeployInitial(style)
 			recs := recordsFor(cfg, stream)
-			res := controller.GreedySearch(cfg, recs, 0.01, 0.1, 0.01)
+			res := controller.GreedySearch(cfg, recs, 0.01)
 			cfg.SetThresholds(res.Thresholds)
 			med := medianServeMS(cfg, stream)
 			t.Rows = append(t.Rows, []string{
@@ -106,7 +106,7 @@ func fig9() []Table {
 		Title:  "Hill-climbing result on the same window",
 		Header: []string{"t_ramp1", "t_ramp2", "latency_win", "acc_loss", "evals"},
 	}
-	res := controller.GreedySearch(cfg, recs, 0.01, 0.1, 0.01)
+	res := controller.GreedySearch(cfg, recs, 0.01)
 	path.Rows = append(path.Rows, []string{
 		f2(res.Thresholds[0]), f2(res.Thresholds[1]),
 		pct(res.SavingFrac * 100), pct(res.AccLoss * 100), fmt.Sprint(res.Evals),
@@ -135,7 +135,7 @@ func fig10() []Table {
 		recs := recordsFor(cfg, samples[:128])
 
 		start := time.Now()
-		greedy := controller.GreedySearch(cfg, recs, 0.01, 0.1, 0.01)
+		greedy := controller.GreedySearch(cfg, recs, 0.01)
 		greedyMS := float64(time.Since(start).Microseconds()) / 1000
 
 		start = time.Now()

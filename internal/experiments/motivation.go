@@ -143,7 +143,7 @@ func fig5() []Table {
 		var prev []float64
 		for i := 0; i < nChunks; i++ {
 			recs := recordsFor(cfg, samples[i*chunk:(i+1)*chunk])
-			res := controller.GreedySearch(cfg, recs, 0.01, 0.1, 0.01)
+			res := controller.GreedySearch(cfg, recs, 0.01)
 			if prev != nil && !thresholdsEqual(prev, res.Thresholds) {
 				changes++
 			}
@@ -172,12 +172,7 @@ func thresholdsEqual(a, b []float64) bool {
 func recordsFor(cfg *ramp.Config, samples []exitsim.Sample) []controller.Record {
 	recs := make([]controller.Record, len(samples))
 	for i, s := range samples {
-		out := cfg.Evaluate(s, 1)
-		rec := controller.Record{Obs: make(map[int]ramp.Observation, len(out.PerRamp))}
-		for j, ob := range out.PerRamp {
-			rec.Obs[cfg.Active[j].Site.NodeID] = ob
-		}
-		recs[i] = rec
+		recs[i] = controller.Fill(nil, cfg, cfg.Evaluate(s, 1).PerRamp)
 	}
 	return recs
 }

@@ -3,6 +3,8 @@ package serving
 import (
 	"testing"
 
+	"repro/internal/controller"
+	"repro/internal/exitsim"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/workload"
@@ -32,6 +34,27 @@ func TestRunSteadyStateAllocBudget(t *testing.T) {
 	t.Logf("serving.Run: %.0f allocs per 2000-request run", avg)
 	if avg > budget {
 		t.Fatalf("serving.Run allocated %.0f times per run, budget %d — a per-request allocation crept back into the hot path", avg, budget)
+	}
+}
+
+// TestRunApparateAllocBudget pins the Apparate handler on the Run hot
+// path. Ramp evaluation still allocates one PerRamp slice per request,
+// but the controller files each outcome into a preallocated window row
+// and replays the window without copying it, so the run costs about
+// one allocation per request plus the tuning rounds' threshold slices.
+// A per-record map (or a per-round window copy) roughly doubles it.
+func TestRunApparateAllocBudget(t *testing.T) {
+	m := model.ResNet50()
+	prof := exitsim.ProfileFor(m, exitsim.KindVideo)
+	s := workload.Video(1, 2000, 60, 94)
+	opts := Options{Platform: Clockwork, SLOms: m.SLO(), Metrics: metrics.ModeSketch}
+	const budget = 6000 // measured: 4045 (8036 with a map per record)
+	avg := testing.AllocsPerRun(5, func() {
+		Run(s.Iter(), NewApparate(m, prof, 0.02, controller.Config{}), opts)
+	})
+	t.Logf("serving.Run Apparate: %.0f allocs per 2000-request run", avg)
+	if avg > budget {
+		t.Fatalf("Apparate serving.Run allocated %.0f times per run, budget %d — the controller's record path allocates per request again", avg, budget)
 	}
 }
 

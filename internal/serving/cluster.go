@@ -508,6 +508,7 @@ type clusterSim struct {
 
 	mk       func(i int) Handler
 	replicas []*replicaSim
+	ids      []int // 0..len(replicas)-1, the reliable path's dispatch set
 	active   int
 	rr       int // round-robin arrival counter
 
@@ -588,7 +589,7 @@ func (c *clusterSim) onArrival(now float64) {
 	if c.fm != nil {
 		c.fm.dispatchNew(req, now)
 	} else {
-		rep := c.replicas[c.dispatch(now)]
+		rep := c.replicas[c.pickAmong(c.ids[:c.active], now)]
 		if c.scaler != nil {
 			wait := rep.work(now)
 			c.winLat.Add(wait + rep.estCost)
@@ -605,36 +606,12 @@ func (c *clusterSim) onArrival(now float64) {
 	}
 }
 
-// dispatch picks the target among the active replicas at time now.
-func (c *clusterSim) dispatch(now float64) int {
-	target := 0
-	switch c.opts.Dispatch {
-	case RoundRobin:
-		target = c.rr % c.active
-	case LeastLoaded:
-		best := c.replicas[0].work(now)
-		for j := 1; j < c.active; j++ {
-			if w := c.replicas[j].work(now); w < best {
-				target, best = j, w
-			}
-		}
-	case JoinShortestQueue:
-		best := c.replicas[0].jobs(now)
-		for j := 1; j < c.active; j++ {
-			if n := c.replicas[j].jobs(now); n < best {
-				target, best = j, n
-			}
-		}
-	}
-	c.rr++
-	return target
-}
-
 // pickAmong selects the dispatch target among the given replica
 // indexes (non-empty, ascending) under the cluster's dispatch policy;
-// ties break to the lowest index exactly like dispatch. The fault
-// runtime uses it to dispatch over the live (and not-yet-tried)
-// subset; the round-robin counter advances once per call either way.
+// ties break to the lowest index. The reliable path dispatches over
+// every active replica, the fault runtime over the live (and
+// not-yet-tried) subset; the round-robin counter advances once per
+// call either way.
 func (c *clusterSim) pickAmong(eligible []int, now float64) int {
 	target := eligible[0]
 	switch c.opts.Dispatch {
@@ -778,6 +755,7 @@ func (c *clusterSim) addReplica(i int) {
 	}
 	rep.recordFn = rep.record
 	c.replicas = append(c.replicas, rep)
+	c.ids = append(c.ids, i)
 	if c.fm != nil {
 		c.fm.onReplicaAdded(i)
 	}
